@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	"parclust/internal/wspd"
 )
 
@@ -80,6 +81,65 @@ func TestGFKRoundAllocs(t *testing.T) {
 	})
 	if allocs > maxAllocs {
 		t.Fatalf("steady-state GFK round allocated %v times, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestMemoGFKRetrievalAllocs pins MemoGFK's GetPairs traversal: with
+// one worker the recursion appends straight into the caller's buffer, so
+// a traversal into a buffer that already has room allocates nothing,
+// whether it emits a handful of edges or thousands. It covers the
+// squared-space traversal on float64 and on the float32 scan path, and
+// the generic-metric traversal (L1).
+func TestMemoGFKRetrievalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins run without -race")
+	}
+	pts := randPoints(2000, 3, 45)
+	for _, mode := range []string{"sq-f64", "sq-f32", "generic-l1"} {
+		t.Run(mode, func(t *testing.T) {
+			var cfg Config
+			if mode == "generic-l1" {
+				cfg = metricConfig(pts, metric.L1{})
+			} else {
+				cfg = euclidConfig(pts)
+			}
+			if mode == "sq-f32" {
+				if err := cfg.Tree.EnableFloat32(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ws := NewWorkspace()
+			ws.grow(pts.N)
+			cfg.Tree.RefreshComponentsInto(ws.uf, ws.comp)
+			sq := sqConfigFor(cfg, ws.comp)
+			if sq != nil {
+				sq.brute = mode == "sq-f32"
+			}
+			// Squared-space windows square the thresholds (distances in the
+			// unit-100 cube run to ~170).
+			var batch []Edge
+			retrieve := func(hi float64) int {
+				batch = batch[:0]
+				if sq != nil {
+					getPairsNodeSq(sq, cfg.Tree.Root, 0, hi*hi, &batch)
+				} else {
+					getPairsNode(&cfg, ws.comp, cfg.Tree.Root, 0, hi, &batch)
+				}
+				return len(batch)
+			}
+			const wide, narrow = 20.0, 2.0
+			retrieve(wide) // warm up: grows batch to the largest window
+			for _, hi := range []float64{narrow, wide} {
+				var emitted int
+				allocs := testing.AllocsPerRun(5, func() { emitted = retrieve(hi) })
+				if allocs != 0 {
+					t.Errorf("retrieval up to %v emitted %d edges and allocated %v times, want 0", hi, emitted, allocs)
+				}
+			}
+			if lo, hi := retrieve(narrow), retrieve(wide); hi < 10*lo || lo == 0 {
+				t.Fatalf("windows emitted %d and %d edges; the pin needs a wide spread", lo, hi)
+			}
+		})
 	}
 }
 

@@ -13,10 +13,17 @@ import (
 // traversals: GetRho computes the weight ceiling rho_hi for the round (the
 // minimum node-pair lower bound over not-yet-connected well-separated pairs
 // with cardinality above beta), and GetPairs retrieves only the pairs whose
-// BCCP lands in [rho_lo, rho_hi), feeding their edges to Kruskal. The
-// union-find and component labels live in the reusable workspace; the
-// retrieved batches are the only per-round allocations. Returned edges
-// carry original ids in Kruskal acceptance order.
+// BCCP lands in [rho_lo, rho_hi), feeding their edges to Kruskal
+// (Filter-Kruskal, see KruskalBatch). GetPairs drops a retrieved edge whose
+// endpoints already share a component at the start of the round, so a
+// batch holds only edges Kruskal could accept; Stats.PairsMaterialized
+// counts those. The union-find and component labels live in the reusable
+// workspace. One batch buffer serves every round of a run: the sequential
+// retrieval recursion appends into it directly, and only branches forked
+// onto other workers allocate a private slice. The buffer is not kept in
+// the workspace, so a pooled workspace does not pin the largest batch
+// between runs. Returned edges carry original ids in Kruskal acceptance
+// order.
 func MemoGFK(cfg Config) []Edge {
 	t := cfg.Tree
 	n := t.Pts.N
@@ -31,18 +38,15 @@ func MemoGFK(cfg Config) []Edge {
 	// The two L2-backed metrics take monomorphized traversals with every
 	// bound (and the rho_lo/rho_hi window) in squared space; squaring is
 	// monotone, so the round structure and retrieved pairs are identical.
-	sq := sqConfigFor(cfg)
-	if sq != nil {
+	sq := sqConfigFor(cfg, ws.comp)
+	if f := t.F32(); sq != nil && f != nil && f.Kern.Sq {
 		// In float32 mode the small-pair scan cutoff replaces the deep tail
-		// of the retrieval recursion; it needs the per-position component
-		// labels (refreshed into this same array every round).
-		if f := t.F32(); f != nil && f.Kern.Sq {
-			sq.brute = true
-			sq.comp = ws.comp
-		}
+		// of the retrieval recursion.
+		sq.brute = true
 	}
 	beta := 2
 	rhoLo := 0.0
+	var batch []Edge
 	for round := 0; len(ws.out) < n-1; round++ {
 		if round >= roundCap(cfg, n) {
 			panic(fmt.Sprintf("mst: MemoGFK exceeded %d rounds (n=%d, |out|=%d)", maxRounds, n, len(ws.out)))
@@ -63,12 +67,12 @@ func MemoGFK(cfg Config) []Edge {
 
 		if rhoHi > rhoLo {
 			// Line 5: retrieve only pairs with BCCP in [rho_lo, rho_hi).
-			var batch []Edge
+			batch = batch[:0]
 			cfg.Stats.Time("wspd", func() {
 				if sq != nil {
-					batch = getPairsNodeSq(sq, t.Root, beta, rhoLo, rhoHi)
+					getPairsNodeSq(sq, t.Root, rhoLo, rhoHi, &batch)
 				} else {
-					batch = getPairsNode(cfg, t.Root, beta, rhoLo, rhoHi)
+					getPairsNode(&cfg, ws.comp, t.Root, rhoLo, rhoHi, &batch)
 				}
 			})
 			cfg.Stats.AddPairs(int64(len(batch)))
@@ -158,48 +162,54 @@ func getRhoPair(cfg Config, p, q *kdtree.Node, beta int, rho *parallel.AtomicMin
 	getRhoPair(cfg, pr, q, beta, rho)
 }
 
-// getPairsNode retrieves the edges of well-separated pairs whose BCCP falls
-// in [rhoLo, rhoHi), pruning connected pairs and pairs whose bounds place
-// them wholly outside the range (Figure 3).
-func getPairsNode(cfg Config, a *kdtree.Node, beta int, rhoLo, rhoHi float64) []Edge {
+// getPairsNode appends to out the edges of well-separated pairs whose
+// BCCP falls in [rhoLo, rhoHi), pruning connected pairs and pairs whose
+// bounds place them wholly outside the range (Figure 3). An edge whose
+// endpoints share a round-start component label in comp is dropped at
+// emission: Kruskal would reject it anyway. The sequential recursion
+// appends straight into out; only the forks (getPairsNodePar,
+// getPairsPairPar) give their stolen branches a private slice.
+func getPairsNode(cfg *Config, comp []int32, a *kdtree.Node, rhoLo, rhoHi float64, out *[]Edge) {
 	if a.IsLeaf() || a.Size() <= 1 || a.Comp >= 0 {
-		return nil
+		return
 	}
 	al, ar := cfg.Tree.LeftOf(a), cfg.Tree.RightOf(a)
-	var left, right, mid []Edge
 	if a.Size() > spawnSize {
 		cfg.Abort.Check()
-		var g parallel.Group
-		g.Spawn(func() { left = getPairsNode(cfg, al, beta, rhoLo, rhoHi) })
-		g.Spawn(func() { right = getPairsNode(cfg, ar, beta, rhoLo, rhoHi) })
-		g.Run(func() { mid = getPairsPair(cfg, al, ar, beta, rhoLo, rhoHi) })
-		g.Sync()
-	} else {
-		left = getPairsNode(cfg, al, beta, rhoLo, rhoHi)
-		right = getPairsNode(cfg, ar, beta, rhoLo, rhoHi)
-		mid = getPairsPair(cfg, al, ar, beta, rhoLo, rhoHi)
-	}
-	// left is exclusively owned by this call, so extend it in place rather
-	// than copying all three slices into a fresh buffer.
-	if len(left) == 0 {
-		if len(right) == 0 {
-			return mid
+		if parallel.Workers() > 1 {
+			getPairsNodePar(cfg, comp, al, ar, rhoLo, rhoHi, out)
+			return
 		}
-		return append(right, mid...)
 	}
-	out := append(left, right...)
-	return append(out, mid...)
+	getPairsNode(cfg, comp, al, rhoLo, rhoHi, out)
+	getPairsNode(cfg, comp, ar, rhoLo, rhoHi, out)
+	getPairsPair(cfg, comp, al, ar, rhoLo, rhoHi, out)
 }
 
-func getPairsPair(cfg Config, p, q *kdtree.Node, beta int, rhoLo, rhoHi float64) []Edge {
+// getPairsNodePar is getPairsNode's fork over the children al and ar:
+// the subtree traversals become stealable tasks and the split pair stays
+// on the current worker (work-first). The left branch appends to out; the
+// other two fill private slices appended at the join, so out keeps the
+// sequential order.
+func getPairsNodePar(cfg *Config, comp []int32, al, ar *kdtree.Node, rhoLo, rhoHi float64, out *[]Edge) {
+	var right, mid []Edge
+	var g parallel.Group
+	g.Spawn(func() { getPairsNode(cfg, comp, al, rhoLo, rhoHi, out) })
+	g.Spawn(func() { getPairsNode(cfg, comp, ar, rhoLo, rhoHi, &right) })
+	g.Run(func() { getPairsPair(cfg, comp, al, ar, rhoLo, rhoHi, &mid) })
+	g.Sync()
+	*out = append(append(*out, right...), mid...)
+}
+
+func getPairsPair(cfg *Config, comp []int32, p, q *kdtree.Node, rhoLo, rhoHi float64, out *[]Edge) {
 	if connected(p, q) {
-		return nil
+		return
 	}
 	if cfg.Metric.NodeLB(p, q) >= rhoHi {
-		return nil // BCCPs of this pair and its descendants are >= rhoHi
+		return // BCCPs of this pair and its descendants are >= rhoHi
 	}
 	if cfg.Metric.NodeUB(p, q) < rhoLo {
-		return nil // BCCPs of this pair and its descendants are < rhoLo
+		return // BCCPs of this pair and its descendants are < rhoLo
 	}
 	if p.Radius < q.Radius {
 		p, q = q, p
@@ -207,27 +217,34 @@ func getPairsPair(cfg Config, p, q *kdtree.Node, beta int, rhoLo, rhoHi float64)
 	if cfg.Sep.WellSeparated(p, q) {
 		res := kdtree.BCCP(cfg.Tree, cfg.Metric, p, q)
 		cfg.Stats.AddBCCP(1)
-		if res.W >= rhoLo && res.W < rhoHi {
-			return []Edge{MakeEdge(res.U, res.V, res.W)}
+		if res.W >= rhoLo && res.W < rhoHi && comp[res.U] != comp[res.V] {
+			*out = append(*out, MakeEdge(res.U, res.V, res.W))
 		}
-		return nil
+		return
 	}
 	if p.IsLeaf() {
 		p, q = q, p
 	}
 	pl, pr := cfg.Tree.LeftOf(p), cfg.Tree.RightOf(p)
-	var l, r []Edge
 	if p.Size()+q.Size() > spawnSize {
 		cfg.Abort.Check()
-		parallel.Do(
-			func() { l = getPairsPair(cfg, pl, q, beta, rhoLo, rhoHi) },
-			func() { r = getPairsPair(cfg, pr, q, beta, rhoLo, rhoHi) },
-		)
-	} else {
-		l = getPairsPair(cfg, pl, q, beta, rhoLo, rhoHi)
-		r = getPairsPair(cfg, pr, q, beta, rhoLo, rhoHi)
+		if parallel.Workers() > 1 {
+			getPairsPairPar(cfg, comp, pl, pr, q, rhoLo, rhoHi, out)
+			return
+		}
 	}
-	return append(l, r...)
+	getPairsPair(cfg, comp, pl, q, rhoLo, rhoHi, out)
+	getPairsPair(cfg, comp, pr, q, rhoLo, rhoHi, out)
+}
+
+// getPairsPairPar is getPairsPair's two-way fork over pl and pr against q.
+func getPairsPairPar(cfg *Config, comp []int32, pl, pr, q *kdtree.Node, rhoLo, rhoHi float64, out *[]Edge) {
+	var r []Edge
+	parallel.Do(
+		func() { getPairsPair(cfg, comp, pl, q, rhoLo, rhoHi, out) },
+		func() { getPairsPair(cfg, comp, pr, q, rhoLo, rhoHi, &r) },
+	)
+	*out = append(*out, r...)
 }
 
 // spawnSize mirrors the WSPD spawning threshold.

@@ -32,22 +32,24 @@ type sqCfg struct {
 	// getPairsPairSq: small non-separated pairs take the brute-force scan
 	// cutoff instead of recursing (traversal overhead dominates high-dim
 	// runs), and window tests re-evaluate the returned BCCP pair exactly
-	// (see the comment there). comp holds the per-position component
-	// labels the scan filters with (the workspace array refreshed each
-	// round). The float64 traversal is unchanged.
+	// (see the comment there). The float64 traversal is unchanged.
 	brute bool
-	comp  []int32
+	// comp holds the per-position component labels (the workspace array
+	// refreshed each round); retrieval drops edges within one component.
+	comp []int32
 }
 
 // sqConfigFor returns the squared-space state when cfg's metric is one of
 // the two L2-backed kernels, or nil to run the generic traversals.
-func sqConfigFor(cfg Config) *sqCfg {
+func sqConfigFor(cfg Config, comp []int32) *sqCfg {
+	c := &sqCfg{t: cfg.Tree, m: cfg.Metric, sep: cfg.Sep, stats: cfg.Stats, af: cfg.Abort, comp: comp}
 	switch m := cfg.Metric.(type) {
 	case kdtree.Euclidean:
-		return &sqCfg{t: cfg.Tree, m: cfg.Metric, sep: cfg.Sep, stats: cfg.Stats, af: cfg.Abort}
+		return c
 	case kdtree.MutualReachability:
 		if m.M == nil {
-			return &sqCfg{t: cfg.Tree, cd: m.CD, m: cfg.Metric, sep: cfg.Sep, stats: cfg.Stats, af: cfg.Abort}
+			c.cd = m.CD
+			return c
 		}
 	}
 	return nil
@@ -141,43 +143,43 @@ func getRhoPairSq(c *sqCfg, p, q *kdtree.Node, beta int, rho *parallel.AtomicMin
 
 // getPairsNodeSq is getPairsNode with bounds and the [rhoLo2, rhoHi2)
 // window in squared space; emitted edges carry true metric weights.
-func getPairsNodeSq(c *sqCfg, a *kdtree.Node, beta int, rhoLo2, rhoHi2 float64) []Edge {
+func getPairsNodeSq(c *sqCfg, a *kdtree.Node, rhoLo2, rhoHi2 float64, out *[]Edge) {
 	if a.IsLeaf() || a.Size() <= 1 || a.Comp >= 0 {
-		return nil
+		return
 	}
 	al, ar := c.t.LeftOf(a), c.t.RightOf(a)
-	var left, right, mid []Edge
 	if a.Size() > spawnSize {
 		c.af.Check()
-		var g parallel.Group
-		g.Spawn(func() { left = getPairsNodeSq(c, al, beta, rhoLo2, rhoHi2) })
-		g.Spawn(func() { right = getPairsNodeSq(c, ar, beta, rhoLo2, rhoHi2) })
-		g.Run(func() { mid = getPairsPairSq(c, al, ar, beta, rhoLo2, rhoHi2) })
-		g.Sync()
-	} else {
-		left = getPairsNodeSq(c, al, beta, rhoLo2, rhoHi2)
-		right = getPairsNodeSq(c, ar, beta, rhoLo2, rhoHi2)
-		mid = getPairsPairSq(c, al, ar, beta, rhoLo2, rhoHi2)
-	}
-	if len(left) == 0 {
-		if len(right) == 0 {
-			return mid
+		if parallel.Workers() > 1 {
+			getPairsNodeSqPar(c, al, ar, rhoLo2, rhoHi2, out)
+			return
 		}
-		return append(right, mid...)
 	}
-	out := append(left, right...)
-	return append(out, mid...)
+	getPairsNodeSq(c, al, rhoLo2, rhoHi2, out)
+	getPairsNodeSq(c, ar, rhoLo2, rhoHi2, out)
+	getPairsPairSq(c, al, ar, rhoLo2, rhoHi2, out)
 }
 
-func getPairsPairSq(c *sqCfg, p, q *kdtree.Node, beta int, rhoLo2, rhoHi2 float64) []Edge {
+// getPairsNodeSqPar is getPairsNodePar for the squared-space traversal.
+func getPairsNodeSqPar(c *sqCfg, al, ar *kdtree.Node, rhoLo2, rhoHi2 float64, out *[]Edge) {
+	var right, mid []Edge
+	var g parallel.Group
+	g.Spawn(func() { getPairsNodeSq(c, al, rhoLo2, rhoHi2, out) })
+	g.Spawn(func() { getPairsNodeSq(c, ar, rhoLo2, rhoHi2, &right) })
+	g.Run(func() { getPairsPairSq(c, al, ar, rhoLo2, rhoHi2, &mid) })
+	g.Sync()
+	*out = append(append(*out, right...), mid...)
+}
+
+func getPairsPairSq(c *sqCfg, p, q *kdtree.Node, rhoLo2, rhoHi2 float64, out *[]Edge) {
 	if connected(p, q) {
-		return nil
+		return
 	}
 	if c.lb2b(p, q, rhoHi2) >= rhoHi2 {
-		return nil
+		return
 	}
 	if c.ub2b(p, q, rhoLo2) < rhoLo2 {
-		return nil
+		return
 	}
 	if p.Radius < q.Radius {
 		p, q = q, p
@@ -195,31 +197,39 @@ func getPairsPairSq(c *sqCfg, p, q *kdtree.Node, beta int, rhoLo2, rhoHi2 float6
 			// in the round whose window contains its exact weight.
 			res.W = c.exactSqWeight(res.U, res.V)
 		}
-		if res.W >= rhoLo2 && res.W < rhoHi2 {
+		if res.W >= rhoLo2 && res.W < rhoHi2 && c.comp[res.U] != c.comp[res.V] {
 			// One true-metric evaluation per emitted edge.
-			return []Edge{MakeEdge(res.U, res.V, c.m.Dist(res.U, res.V))}
+			*out = append(*out, MakeEdge(res.U, res.V, c.m.Dist(res.U, res.V)))
 		}
-		return nil
+		return
 	}
 	if c.brute && p.Size()+q.Size() <= bruteSize {
-		return brutePairsSq(c, p, q, rhoLo2, rhoHi2)
+		brutePairsSq(c, p, q, rhoLo2, rhoHi2, out)
+		return
 	}
 	if p.IsLeaf() {
 		p, q = q, p
 	}
 	pl, pr := c.t.LeftOf(p), c.t.RightOf(p)
-	var l, r []Edge
 	if p.Size()+q.Size() > spawnSize {
 		c.af.Check()
-		parallel.Do(
-			func() { l = getPairsPairSq(c, pl, q, beta, rhoLo2, rhoHi2) },
-			func() { r = getPairsPairSq(c, pr, q, beta, rhoLo2, rhoHi2) },
-		)
-	} else {
-		l = getPairsPairSq(c, pl, q, beta, rhoLo2, rhoHi2)
-		r = getPairsPairSq(c, pr, q, beta, rhoLo2, rhoHi2)
+		if parallel.Workers() > 1 {
+			getPairsPairSqPar(c, pl, pr, q, rhoLo2, rhoHi2, out)
+			return
+		}
 	}
-	return append(l, r...)
+	getPairsPairSq(c, pl, q, rhoLo2, rhoHi2, out)
+	getPairsPairSq(c, pr, q, rhoLo2, rhoHi2, out)
+}
+
+// getPairsPairSqPar is getPairsPairPar for the squared-space traversal.
+func getPairsPairSqPar(c *sqCfg, pl, pr, q *kdtree.Node, rhoLo2, rhoHi2 float64, out *[]Edge) {
+	var r []Edge
+	parallel.Do(
+		func() { getPairsPairSq(c, pl, q, rhoLo2, rhoHi2, out) },
+		func() { getPairsPairSq(c, pr, q, rhoLo2, rhoHi2, &r) },
+	)
+	*out = append(*out, r...)
 }
 
 // exactSqWeight is the exact squared-space weight of the pair of kd
@@ -255,10 +265,9 @@ const bruteSize = 64
 // saves is the O(dim) box-bound evaluation at every intermediate node
 // pair, the dominant cost of high-dimensional traversals. Weights and
 // window tests stay in exact float64, so round structure is unaffected.
-func brutePairsSq(c *sqCfg, p, q *kdtree.Node, rhoLo2, rhoHi2 float64) []Edge {
+func brutePairsSq(c *sqCfg, p, q *kdtree.Node, rhoLo2, rhoHi2 float64, out *[]Edge) {
 	d := c.t.Pts.Dim
 	data := c.t.Pts.Data
-	var out []Edge
 	for u := p.Lo; u < p.Hi; u++ {
 		ru := int(u) * d
 		uc := data[ru : ru+d : ru+d]
@@ -282,9 +291,8 @@ func brutePairsSq(c *sqCfg, p, q *kdtree.Node, rhoLo2, rhoHi2 float64) []Edge {
 				}
 			}
 			if w >= rhoLo2 && w < rhoHi2 {
-				out = append(out, MakeEdge(u, v, c.m.Dist(u, v)))
+				*out = append(*out, MakeEdge(u, v, c.m.Dist(u, v)))
 			}
 		}
 	}
-	return out
 }

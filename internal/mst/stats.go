@@ -11,7 +11,9 @@ import (
 // are only touched from the coordinating goroutine.
 type Stats struct {
 	// PairsMaterialized counts WSPD pairs actually stored in memory
-	// (all pairs for Naive/GFK; only per-round S_l1 pairs for MemoGFK).
+	// (all pairs for Naive/GFK; only per-round S_l1 pairs for MemoGFK,
+	// less those whose BCCP endpoints were already connected at the start
+	// of the round, which MemoGFK drops as it retrieves them).
 	PairsMaterialized int64
 	// PeakPairsResident is the maximum number of pairs alive at once.
 	PeakPairsResident int64
