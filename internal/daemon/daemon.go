@@ -1004,16 +1004,16 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	withIDs, ok := qBool(w, r, "ids", true)
+	if !ok {
+		return
+	}
 	ids, err := d.idx.WithContext(r.Context()).RangeQuery(q, radius)
 	if !s.queryDone(w, r, d, epoch, err) {
 		return
 	}
 	resp := map[string]any{
 		"dataset": d.name, "q": q, "r": radius, "count": len(ids),
-	}
-	withIDs, ok := qBool(w, r, "ids", true)
-	if !ok {
-		return
 	}
 	if withIDs {
 		resp["ids"] = ids

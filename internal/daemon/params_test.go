@@ -45,6 +45,12 @@ func TestQueryParamValidation(t *testing.T) {
 	if code := ts.get("/v1/datasets/p/optics?minpts=", nil); code != http.StatusBadRequest {
 		t.Errorf("empty minpts: want 400")
 	}
+	// No rejected request may have built a stage: every 400 above is
+	// written during parameter validation.
+	if c := ts.datasetCounters("p"); c.TreeBuilds != 0 || c.CoreDistBuilds != 0 || c.MSTBuilds != 0 || c.DendrogramBuilds != 0 {
+		t.Errorf("malformed requests ran stage work: %d tree, %d core-dist, %d MST, %d dendrogram builds, want 0",
+			c.TreeBuilds, c.CoreDistBuilds, c.MSTBuilds, c.DendrogramBuilds)
+	}
 
 	// Every EMST algorithm name is accepted and answers the same tree.
 	for _, algo := range []string{"memogfk", "gfk", "naive", "boruvka", "delaunay2d", "wspdboruvka"} {

@@ -101,15 +101,3 @@ func MSTOnAnnotatedTreeCancel(t *kdtree.Tree, algo Algorithm, m metric.Metric, w
 		panic("hdbscan: unknown algorithm")
 	}
 }
-
-// PairCounts reports the number of WSPD pairs generated under the classic
-// geometric separation and under the new disjunctive separation for the
-// same point set — the "2.5-10.29x fewer pairs" measurement of Section 5.
-func PairCounts(pts geometry.Points, minPts int) (geo, mutual int) {
-	t := kdtree.Build(pts, 1)
-	cd := t.CoreDistances(minPts)
-	t.AnnotateCoreDists(cd)
-	geo = wspd.Count(t, wspd.Geometric{S: 2})
-	mutual = wspd.Count(t, wspd.MutualUnreachable{})
-	return geo, mutual
-}

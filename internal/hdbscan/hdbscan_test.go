@@ -134,17 +134,6 @@ func TestFigure1WorkedExample(t *testing.T) {
 	}
 }
 
-func TestPairCounts(t *testing.T) {
-	pts := randPoints(1000, 3, 17)
-	geo, mu := PairCounts(pts, 10)
-	if mu > geo {
-		t.Fatalf("new separation produced more pairs (%d > %d)", mu, geo)
-	}
-	if geo == 0 || mu == 0 {
-		t.Fatal("pair counts are zero")
-	}
-}
-
 func TestBruteForceCoreDistancesQuick(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		n := 2 + int(nRaw)%60

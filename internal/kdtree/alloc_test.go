@@ -3,46 +3,104 @@ package kdtree
 import (
 	"testing"
 	"testing/quick"
+
+	"parclust/internal/metric"
 )
 
-// TestKNNIntoAllocs pins the workspace k-NN query path at zero steady-state
-// heap allocations: the bounded heap and result buffer live in the
-// workspace, leaf scans run over the tree's contiguous kd-ordered rows, and
-// the original-id mapping is a flat array lookup.
+// allocMetrics are the two float64 traversal kernels the alloc pins cover:
+// the monomorphized squared-L2 path and the generic-metric path.
+var allocMetrics = []struct {
+	name string
+	m    metric.Metric
+}{{"l2", metric.L2{}}, {"l1", metric.L1{}}}
+
+// everySeventh tombstones every 7th original id, the deletion pattern the
+// live alloc pins query under.
+func everySeventh(n int) []bool {
+	tomb := make([]bool, n)
+	for i := 0; i < n; i += 7 {
+		tomb[i] = true
+	}
+	return tomb
+}
+
+// TestKNNIntoAllocs pins the workspace k-NN query paths at zero steady-state
+// heap allocations, static (KNNInto by id) and live (KNNLiveInto by
+// coordinates, with tombstones) under each metric kernel: the bounded heap
+// and result buffer live in the workspace, leaf scans run over the tree's
+// contiguous kd-ordered rows, and the original-id mapping is a flat array
+// lookup.
 func TestKNNIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(2000, 3, 21)
-	tr := Build(pts, 8)
-	var ws KNNWorkspace
-	tr.KNNInto(0, 10, &ws) // warm up: grows the heap and result buffers
-	q := int32(0)
-	allocs := testing.AllocsPerRun(100, func() {
-		q = (q + 17) % int32(pts.N)
-		tr.KNNInto(q, 10, &ws)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state KNNInto allocated %v times, want 0", allocs)
+	tomb := everySeventh(pts.N)
+	for _, mc := range allocMetrics {
+		tr := BuildMetric(pts, 8, mc.m)
+		queries := map[string]func(q int32, ws *KNNWorkspace){
+			"static": func(q int32, ws *KNNWorkspace) { tr.KNNInto(q, 10, ws) },
+			"live":   func(q int32, ws *KNNWorkspace) { tr.KNNLiveInto(pts.At(int(q)), 10, tomb, ws) },
+		}
+		for name, query := range queries {
+			t.Run(mc.name+"/"+name, func(t *testing.T) {
+				var ws KNNWorkspace
+				query(0, &ws) // warm up: grows the heap and result buffers
+				q := int32(0)
+				allocs := testing.AllocsPerRun(100, func() {
+					q = (q + 17) % int32(pts.N)
+					query(q, &ws)
+				})
+				if allocs != 0 {
+					t.Fatalf("steady-state k-NN allocated %v times, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 
-// TestRangeQueryAppendAllocs pins the buffer-reusing range query at zero
-// steady-state allocations once the buffer has grown.
+// TestRangeQueryAppendAllocs pins the buffer-reusing range queries, static
+// (RangeQueryAppend) and live (RangeQueryLiveAppend, with tombstones), at
+// zero steady-state allocations once the buffer has grown, and the range
+// counts (RangeCount, RangeCountLive) at zero allocations outright, under
+// each metric kernel.
 func TestRangeQueryAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(2000, 3, 22)
-	tr := Build(pts, 8)
-	buf := tr.RangeQueryAppend(0, 30, nil)
-	q := int32(0)
-	allocs := testing.AllocsPerRun(100, func() {
-		q = (q + 13) % int32(pts.N)
-		buf = tr.RangeQueryAppend(q, 20, buf[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state RangeQueryAppend allocated %v times, want 0", allocs)
+	tomb := everySeventh(pts.N)
+	for _, mc := range allocMetrics {
+		tr := BuildMetric(pts, 8, mc.m)
+		queries := map[string]func(q int32, r float64, buf []int32) []int32{
+			"static": func(q int32, r float64, buf []int32) []int32 {
+				return tr.RangeQueryAppend(q, r, buf)
+			},
+			"live": func(q int32, r float64, buf []int32) []int32 {
+				return tr.RangeQueryLiveAppend(pts.At(int(q)), r, tomb, buf)
+			},
+			"count": func(q int32, r float64, buf []int32) []int32 {
+				tr.RangeCount(q, r)
+				return buf
+			},
+			"count-live": func(q int32, r float64, buf []int32) []int32 {
+				tr.RangeCountLive(pts.At(int(q)), r, tomb)
+				return buf
+			},
+		}
+		for name, query := range queries {
+			t.Run(mc.name+"/"+name, func(t *testing.T) {
+				buf := query(0, 30, nil)
+				q := int32(0)
+				allocs := testing.AllocsPerRun(100, func() {
+					q = (q + 13) % int32(pts.N)
+					buf = query(q, 20, buf[:0])
+				})
+				if allocs != 0 {
+					t.Fatalf("steady-state range query allocated %v times, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

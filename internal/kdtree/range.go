@@ -16,12 +16,9 @@ func (t *Tree) RangeQueryAppend(q int32, r float64, out []int32) []int32 {
 	qc := t.Pts.At(int(t.Inv[q]))
 	if f := t.f32; f != nil {
 		t.rangeQuery32(t.Root, qc, f.Row(t.Inv[q]), f.Kern.CmpRadius(r), &out)
-	} else if t.l2 {
-		t.rangeQuery(t.Root, qc, r*r, &out)
-	} else {
-		t.rangeQueryMetric(t.Root, qc, r, &out)
+		return out
 	}
-	return out
+	return t.RangeQueryLiveAppend(qc, r, nil, out)
 }
 
 // RangeCount returns the number of points within tree-metric distance r of
@@ -33,106 +30,111 @@ func (t *Tree) RangeCount(q int32, r float64) int {
 	if f := t.f32; f != nil {
 		return t.rangeCount32(t.Root, qc, f.Row(t.Inv[q]), f.Kern.CmpRadius(r))
 	}
+	return t.RangeCountLive(qc, r, nil)
+}
+
+// keyRadius maps a tree-metric radius into the float64 traversal key space
+// (squared under L2; see knn).
+func (t *Tree) keyRadius(r float64) float64 {
 	if t.l2 {
-		return t.rangeCount(t.Root, qc, r*r)
+		return r * r
 	}
-	return t.rangeCountMetric(t.Root, qc, r)
+	return r
 }
 
-func (t *Tree) rangeQuery(n *Node, qc []float64, r2 float64, out *[]int32) {
+// rangeQuery is the float64 range-query traversal, shared by static and
+// live queries: it appends the original ids of the non-tombstoned points
+// (tomb nil: no deletions) within key-space radius kr of qc. The L2 branch
+// stays inline for the reason given at knn.
+func (t *Tree) rangeQuery(n *Node, qc []float64, kr float64, tomb []bool, out *[]int32) {
 	if n == nil {
 		return
 	}
-	if geometry.SqDistPointBox(qc, n.Box) > r2 {
+	var lb float64
+	if t.l2 {
+		lb = geometry.SqDistPointBox(qc, n.Box)
+	} else {
+		lb = t.M.PointBoxLB(qc, n.Box)
+	}
+	if lb > kr {
 		return
 	}
 	if n.IsLeaf() {
-		kern := t.sqKern
 		d := t.Pts.Dim
 		data := t.Pts.Data
 		for p := n.Lo; p < n.Hi; p++ {
+			if tomb != nil && tomb[t.Orig[p]] {
+				continue
+			}
 			r := int(p) * d
-			if kern(qc, data[r:r+d:r+d]) <= r2 {
+			row := data[r : r+d : r+d]
+			var key float64
+			if t.l2 {
+				key = t.sqKern(qc, row)
+			} else {
+				key = t.M.Dist(qc, row)
+			}
+			if key <= kr {
 				*out = append(*out, t.Orig[p])
 			}
 		}
 		return
 	}
-	t.rangeQuery(t.LeftOf(n), qc, r2, out)
-	t.rangeQuery(t.RightOf(n), qc, r2, out)
+	t.rangeQuery(t.LeftOf(n), qc, kr, tomb, out)
+	t.rangeQuery(t.RightOf(n), qc, kr, tomb, out)
 }
 
-func (t *Tree) rangeCount(n *Node, qc []float64, r2 float64) int {
+// rangeCount is the float64 range-count traversal, shared by static and
+// live queries. Subtrees lying wholly inside the ball are counted by their
+// size only while tomb == nil: with tombstones a node's Size() overcounts
+// its live population.
+func (t *Tree) rangeCount(n *Node, qc []float64, kr float64, tomb []bool) int {
 	if n == nil {
 		return 0
 	}
-	if geometry.SqDistPointBox(qc, n.Box) > r2 {
+	var lb float64
+	if t.l2 {
+		lb = geometry.SqDistPointBox(qc, n.Box)
+	} else {
+		lb = t.M.PointBoxLB(qc, n.Box)
+	}
+	if lb > kr {
 		return 0
 	}
-	if geometry.SqMaxDistBoxes(pointBox(qc), n.Box) <= r2 {
-		return n.Size() // whole subtree inside the ball
-	}
-	if n.IsLeaf() {
-		kern := t.sqKern
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		cnt := 0
-		for p := n.Lo; p < n.Hi; p++ {
-			r := int(p) * d
-			if kern(qc, data[r:r+d:r+d]) <= r2 {
-				cnt++
-			}
+	if tomb == nil {
+		var ub float64
+		if t.l2 {
+			ub = geometry.SqMaxDistBoxes(pointBox(qc), n.Box)
+		} else {
+			ub = t.M.BoxesUB(pointBox(qc), n.Box)
 		}
-		return cnt
-	}
-	return t.rangeCount(t.LeftOf(n), qc, r2) + t.rangeCount(t.RightOf(n), qc, r2)
-}
-
-func (t *Tree) rangeQueryMetric(n *Node, qc []float64, r float64, out *[]int32) {
-	if n == nil {
-		return
-	}
-	if t.M.PointBoxLB(qc, n.Box) > r {
-		return
-	}
-	if n.IsLeaf() {
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := n.Lo; p < n.Hi; p++ {
-			ro := int(p) * d
-			if t.M.Dist(qc, data[ro:ro+d:ro+d]) <= r {
-				*out = append(*out, t.Orig[p])
-			}
+		if ub <= kr {
+			return n.Size() // whole subtree inside the ball
 		}
-		return
-	}
-	t.rangeQueryMetric(t.LeftOf(n), qc, r, out)
-	t.rangeQueryMetric(t.RightOf(n), qc, r, out)
-}
-
-func (t *Tree) rangeCountMetric(n *Node, qc []float64, r float64) int {
-	if n == nil {
-		return 0
-	}
-	if t.M.PointBoxLB(qc, n.Box) > r {
-		return 0
-	}
-	if t.M.BoxesUB(pointBox(qc), n.Box) <= r {
-		return n.Size() // whole subtree inside the ball
 	}
 	if n.IsLeaf() {
 		d := t.Pts.Dim
 		data := t.Pts.Data
 		cnt := 0
 		for p := n.Lo; p < n.Hi; p++ {
-			ro := int(p) * d
-			if t.M.Dist(qc, data[ro:ro+d:ro+d]) <= r {
+			if tomb != nil && tomb[t.Orig[p]] {
+				continue
+			}
+			r := int(p) * d
+			row := data[r : r+d : r+d]
+			var key float64
+			if t.l2 {
+				key = t.sqKern(qc, row)
+			} else {
+				key = t.M.Dist(qc, row)
+			}
+			if key <= kr {
 				cnt++
 			}
 		}
 		return cnt
 	}
-	return t.rangeCountMetric(t.LeftOf(n), qc, r) + t.rangeCountMetric(t.RightOf(n), qc, r)
+	return t.rangeCount(t.LeftOf(n), qc, kr, tomb) + t.rangeCount(t.RightOf(n), qc, kr, tomb)
 }
 
 func pointBox(qc []float64) geometry.Box {

@@ -159,6 +159,11 @@ func (r *boruvkaRun) round() bool {
 	return true
 }
 
+// nearestOutside and nearestOutsideMetric stay two functions, unlike the
+// kd-tree's k-NN and range traversals, which branch on the metric inline:
+// the same inline merge made 7-D L2 Borůvka 6% slower (1614 → 1713 ms,
+// faster in 1 of 8 alternating pairs, 2-vCPU Xeon, GOMAXPROCS=2).
+
 // nearestOutside finds the nearest point to q (a kd-order position) that
 // lies in a different component, writing the candidate edge into best with
 // its weight in squared space. Ties follow the Less order (squaring is
